@@ -175,7 +175,7 @@ void Cluster::load_table(const std::string& name, const Table& table,
   StoredTable st;
   st.spec = spec;
   st.partitions.assign(num_nodes_, Table{table.schema()});
-  st.versions.assign(num_nodes_, 1);
+  st.versions.assign(num_nodes_, ++version_high_);
 
   if (spec.scheme != Partitioning::kRoundRobin &&
       spec.partition_column >= table.num_columns())
@@ -233,7 +233,7 @@ void Cluster::load_table_at(const std::string& name, const Table& table,
   StoredTable st;
   st.spec = PartitionSpec{};
   st.partitions.assign(num_nodes_, Table{table.schema()});
-  st.versions.assign(num_nodes_, 1);
+  st.versions.assign(num_nodes_, ++version_high_);
   std::vector<double> row(table.num_columns());
   st.partitions[node].reserve(table.num_rows());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
@@ -285,7 +285,7 @@ Table& Cluster::mutable_partition(const std::string& name, NodeId node) {
         "Cluster::mutable_partition: node " + std::to_string(node) +
         " out of range for table " + name + " (" +
         std::to_string(st.partitions.size()) + " nodes)");
-  ++st.versions[node];
+  version_high_ = std::max(version_high_, ++st.versions[node]);
   return st.partitions[node];
 }
 

@@ -185,8 +185,13 @@ class Cluster {
   /// Sum of partition rows (logical table cardinality).
   std::size_t table_rows(const std::string& name) const;
 
-  /// Data version of a table partition; bumped by mutable access, used by
-  /// the SEA agent's model-staleness logic (paper RT1.4-ii).
+  /// Data version of a table partition; bumped by exactly 1 on each
+  /// mutable access (taken before the caller writes, so finish the writes
+  /// before the next read that checks it). A (table, node) version never
+  /// repeats: a (re)loaded table starts above every version this cluster
+  /// has handed out, so a stamp taken before drop_table never matches the
+  /// reloaded data. ExactExecutor stamps its per-node index caches with
+  /// it, so base-data changes reach exact answers (paper RT1.4).
   std::uint64_t partition_version(const std::string& name, NodeId node) const;
 
   /// Partitioning scheme the table was loaded with.
@@ -361,6 +366,7 @@ class Cluster {
   Network network_;
   BdasCostModel cost_;
   std::unordered_map<std::string, StoredTable> tables_;
+  std::uint64_t version_high_ = 0;  ///< largest partition version handed out
   std::vector<bool> node_down_;
   std::vector<bool> placement_lost_;
   NodeRecoveryStats recovery_stats_;

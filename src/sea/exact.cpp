@@ -5,6 +5,7 @@
 #include <limits>
 #include <span>
 #include <sstream>
+#include <type_traits>
 
 #include "common/timer.h"
 #include "data/columnar.h"
@@ -39,39 +40,39 @@ struct KnnCand {
   double u = 0.0;
 };
 
-/// Per-node grid-build inputs, shared by the uniform and the learned grid
-/// caches so both structures see identical points, domains and cell counts.
-struct GridBuildInput {
-  std::vector<Point> pts;
-  Rect dom;
-  std::size_t cells = 2;
-};
-
-GridBuildInput grid_build_input(const Table& part,
-                                const std::vector<std::size_t>& cols) {
-  GridBuildInput in;
+/// Builds a per-node GridIndex or LearnedGrid: both see identical points,
+/// domains and cell counts. `dom` is the partition's cached table_bounds
+/// over `cols` (an empty Rect when the partition has no rows).
+template <typename G>
+G build_grid(const Table& part, const std::vector<std::size_t>& cols,
+             Rect dom) {
   // Column-at-a-time fill from contiguous spans (no per-row gather).
-  in.pts.assign(part.num_rows(), Point(cols.size()));
+  std::vector<Point> pts(part.num_rows(), Point(cols.size()));
   for (std::size_t c = 0; c < cols.size(); ++c) {
     const auto col = part.column(cols[c]);
-    for (std::size_t r = 0; r < part.num_rows(); ++r) in.pts[r][c] = col[r];
+    for (std::size_t r = 0; r < part.num_rows(); ++r) pts[r][c] = col[r];
   }
-  in.dom = part.num_rows() ? table_bounds(part, cols) : Rect{};
   if (part.num_rows() == 0) {
-    in.dom.lo.assign(cols.size(), 0.0);
-    in.dom.hi.assign(cols.size(), 1.0);
+    dom.lo.assign(cols.size(), 0.0);
+    dom.hi.assign(cols.size(), 1.0);
   }
   // Pad the upper edge so maxima land inside the last cell.
   for (std::size_t i = 0; i < cols.size(); ++i)
-    in.dom.hi[i] = std::nextafter(in.dom.hi[i] + 1e-12,
-                                  std::numeric_limits<double>::max());
+    dom.hi[i] = std::nextafter(dom.hi[i] + 1e-12,
+                               std::numeric_limits<double>::max());
   // Cells per dimension: ~rows^(1/d) capped to keep memory sane.
   const double per_dim = std::pow(
       std::max<double>(1.0, static_cast<double>(part.num_rows())),
       1.0 / static_cast<double>(cols.size()));
-  in.cells = std::clamp<std::size_t>(
+  const std::size_t cells = std::clamp<std::size_t>(
       static_cast<std::size_t>(per_dim / 2.0), 2, 32);
-  return in;
+  return G(std::move(pts), std::move(dom), cells);
+}
+
+std::string colset_key(const std::vector<std::size_t>& cols) {
+  std::ostringstream os;
+  for (const auto c : cols) os << c << ',';
+  return os.str();
 }
 
 }  // namespace
@@ -107,96 +108,89 @@ ExactExecutor::ExactExecutor(Cluster& cluster, std::string table_name,
 
 ExactExecutor::~ExactExecutor() = default;
 
-std::string ExactExecutor::colset_key(const std::vector<std::size_t>& cols) {
-  std::ostringstream os;
-  for (const auto c : cols) os << c << ',';
-  return os.str();
+ExactExecutor::ColsetCache& ExactExecutor::cache_for(
+    const std::vector<std::size_t>& cols) {
+  ColsetCache& cache = cache_[colset_key(cols)];
+  cache.nodes.resize(cluster_.num_nodes());
+  return cache;
 }
 
-const ExactExecutor::NodeIndexes& ExactExecutor::indexes_for(
-    const std::vector<std::size_t>& cols) {
-  const std::string key = colset_key(cols);
-  auto it = index_cache_.find(key);
-  if (it != index_cache_.end()) return it->second;
-  Timer t;
-  NodeIndexes idx;
-  idx.per_node.reserve(cluster_.num_nodes());
-  for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
-    const Table& part = cluster_.partition(table_, static_cast<NodeId>(n));
-    idx.per_node.push_back(build_kdtree(part, cols));
+ExactExecutor::NodeCache& ExactExecutor::fresh_node(ColsetCache& cache,
+                                                    std::size_t n) {
+  NodeCache& e = cache.nodes[n];
+  const std::uint64_t v =
+      cluster_.partition_version(table_, static_cast<NodeId>(n));
+  if (e.version != v) {
+    e = NodeCache{};  // free the stale structures before any rebuild
+    e.version = v;
+    cache.domain.reset();
   }
-  index_build_ms_ += t.elapsed_ms();
-  return index_cache_.emplace(key, std::move(idx)).first->second;
+  return e;
 }
 
-const ExactExecutor::NodeGrids& ExactExecutor::grids_for(
-    const std::vector<std::size_t>& cols) {
-  const std::string key = colset_key(cols);
-  auto it = grid_cache_.find(key);
-  if (it != grid_cache_.end()) return it->second;
-  Timer t;
-  NodeGrids grids;
-  grids.per_node.reserve(cluster_.num_nodes());
-  for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
+const Rect& ExactExecutor::node_bounds(ColsetCache& cache, std::size_t n,
+                                       const std::vector<std::size_t>& cols) {
+  NodeCache& e = fresh_node(cache, n);
+  if (!e.bounds) {
     const Table& part = cluster_.partition(table_, static_cast<NodeId>(n));
-    GridBuildInput in = grid_build_input(part, cols);
-    grids.per_node.emplace_back(std::move(in.pts), std::move(in.dom),
-                                in.cells);
+    e.bounds = part.num_rows() ? table_bounds(part, cols) : Rect{};
   }
-  index_build_ms_ += t.elapsed_ms();
-  return grid_cache_.emplace(key, std::move(grids)).first->second;
+  return *e.bounds;
 }
 
-const ExactExecutor::NodeLearnedGrids& ExactExecutor::learned_for(
-    const std::vector<std::size_t>& cols) {
-  const std::string key = colset_key(cols);
-  auto it = learned_cache_.find(key);
-  if (it != learned_cache_.end()) return it->second;
-  Timer t;
-  NodeLearnedGrids grids;
-  grids.per_node.reserve(cluster_.num_nodes());
-  for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
+template <typename T>
+const ExactExecutor::ColsetCache& ExactExecutor::refresh(
+    const std::vector<std::size_t>& cols, std::optional<T> NodeCache::*slot) {
+  ColsetCache& cache = cache_for(cols);
+  for (std::size_t n = 0; n < cache.nodes.size(); ++n) {
+    if (fresh_node(cache, n).*slot) continue;
+    Timer t;
     const Table& part = cluster_.partition(table_, static_cast<NodeId>(n));
-    GridBuildInput in = grid_build_input(part, cols);
-    grids.per_node.emplace_back(std::move(in.pts), std::move(in.dom),
-                                in.cells);
+    if constexpr (std::is_same_v<T, KdTree>)
+      cache.nodes[n].*slot = build_kdtree(part, cols);
+    else
+      cache.nodes[n].*slot =
+          build_grid<T>(part, cols, node_bounds(cache, n, cols));
+    index_build_ms_ += t.elapsed_ms();
+    ++index_builds_;
   }
-  index_build_ms_ += t.elapsed_ms();
-  return learned_cache_.emplace(key, std::move(grids)).first->second;
+  return cache;
 }
 
 const Rect& ExactExecutor::domain(const std::vector<std::size_t>& cols) {
-  const std::string key = colset_key(cols);
-  auto it = domain_cache_.find(key);
-  if (it != domain_cache_.end()) return it->second;
+  ColsetCache& cache = cache_for(cols);
+  for (std::size_t n = 0; n < cache.nodes.size(); ++n)
+    node_bounds(cache, n, cols);
+  if (cache.domain) return *cache.domain;
+  // Fold in node order, exactly as a full rescan would; an empty Rect is
+  // an empty partition.
   Rect bounds;
-  bool first = true;
-  for (std::size_t n = 0; n < cluster_.num_nodes(); ++n) {
-    const Table& part = cluster_.partition(table_, static_cast<NodeId>(n));
-    if (part.num_rows() == 0) continue;
-    const Rect b = table_bounds(part, cols);
-    if (first) {
+  for (const NodeCache& e : cache.nodes) {
+    const Rect& b = *e.bounds;
+    if (b.lo.empty()) continue;
+    if (bounds.lo.empty()) {
       bounds = b;
-      first = false;
-    } else {
-      for (std::size_t i = 0; i < cols.size(); ++i) {
-        bounds.lo[i] = std::min(bounds.lo[i], b.lo[i]);
-        bounds.hi[i] = std::max(bounds.hi[i], b.hi[i]);
-      }
+      continue;
+    }
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      bounds.lo[i] = std::min(bounds.lo[i], b.lo[i]);
+      bounds.hi[i] = std::max(bounds.hi[i], b.hi[i]);
     }
   }
-  if (first) {
+  if (bounds.lo.empty()) {
     bounds.lo.assign(cols.size(), 0.0);
     bounds.hi.assign(cols.size(), 1.0);
   }
-  return domain_cache_.emplace(key, std::move(bounds)).first->second;
+  return cache.domain.emplace(std::move(bounds));
 }
 
 void ExactExecutor::invalidate_caches() {
-  index_cache_.clear();
-  grid_cache_.clear();
-  learned_cache_.clear();
-  domain_cache_.clear();
+  if (!cluster_.has_table(table_)) {
+    cache_.clear();
+    return;
+  }
+  for (auto& [key, cache] : cache_)
+    for (std::size_t n = 0; n < cache.nodes.size(); ++n) fresh_node(cache, n);
 }
 
 ExactResult ExactExecutor::execute(const AnalyticalQuery& query,
@@ -334,50 +328,31 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
                                            ExecParadigm access,
                                            QueryDeadline* deadline) {
   ExactResult out;
-  const bool use_grid = access == ExecParadigm::kCoordinatorGrid;
-  const bool use_learned = access == ExecParadigm::kCoordinatorLearned;
-  const NodeIndexes* kd =
-      (use_grid || use_learned) ? nullptr : &indexes_for(q.subspace_cols);
-  const NodeGrids* grid = use_grid ? &grids_for(q.subspace_cols) : nullptr;
-  const NodeLearnedGrids* learned =
-      use_learned ? &learned_for(q.subspace_cols) : nullptr;
-  // Uniform access wrappers over the three access structures (RT3.1).
-  const auto node_knn = [&](std::size_t n, std::span<const double> point,
-                            std::size_t k, std::uint64_t& examined) {
-    if (use_grid || use_learned) {
-      GridQueryCost cost;
-      auto nn = use_learned ? learned->per_node[n].knn(point, k, &cost)
-                            : grid->per_node[n].knn(point, k, &cost);
+  const std::vector<std::size_t>& cols = q.subspace_cols;
+  const ColsetCache& cache =
+      access == ExecParadigm::kCoordinatorGrid
+          ? refresh(cols, &NodeCache::grid)
+          : access == ExecParadigm::kCoordinatorLearned
+                ? refresh(cols, &NodeCache::learned)
+                : refresh(cols, &NodeCache::kd);
+  // Runs `probe(structure, &cost)` on node n's access structure (RT3.1)
+  // and reports the points it examined.
+  const auto on_node = [&](std::size_t n, std::uint64_t& examined,
+                           auto&& probe) {
+    const NodeCache& e = cache.nodes[n];
+    const auto run = [&](const auto& structure, auto cost) {
+      auto out_ = probe(structure, &cost);
       examined = cost.points_examined;
-      return nn;
+      return out_;
+    };
+    switch (access) {
+      case ExecParadigm::kCoordinatorGrid:
+        return run(*e.grid, GridQueryCost{});
+      case ExecParadigm::kCoordinatorLearned:
+        return run(*e.learned, GridQueryCost{});
+      default:
+        return run(*e.kd, KdQueryCost{});
     }
-    KdQueryCost cost;
-    auto nn = kd->per_node[n].knn(point, k, &cost);
-    examined = cost.points_examined;
-    return nn;
-  };
-  const auto node_select = [&](std::size_t n, std::uint64_t& examined) {
-    if (use_grid || use_learned) {
-      GridQueryCost cost;
-      std::vector<std::uint64_t> rows;
-      if (use_learned) {
-        rows = q.selection == SelectionType::kRange
-                   ? learned->per_node[n].range_query(q.range, &cost)
-                   : learned->per_node[n].radius_query(q.ball, &cost);
-      } else {
-        rows = q.selection == SelectionType::kRange
-                   ? grid->per_node[n].range_query(q.range, &cost)
-                   : grid->per_node[n].radius_query(q.ball, &cost);
-      }
-      examined = cost.points_examined;
-      return rows;
-    }
-    KdQueryCost cost;
-    auto rows = q.selection == SelectionType::kRange
-                    ? kd->per_node[n].range_query(q.range, &cost)
-                    : kd->per_node[n].radius_query(q.ball, &cost);
-    examined = cost.points_examined;
-    return rows;
   };
   CohortSession session(cluster_, coordinator_);
   session.set_deadline(deadline);
@@ -427,7 +402,9 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
             serving, backup_for(n, serving), req_bytes, resp_bytes,
             [&](NodeId executing) {
               std::uint64_t examined = 0;
-              auto nn = node_knn(n, q.knn_point, q.knn_k, examined);
+              auto nn = on_node(n, examined, [&](const auto& s, auto* c) {
+                return s.knn(q.knn_point, q.knn_k, c);
+              });
               cluster_.account_probe(executing, 1, examined,
                                      examined * part.row_bytes());
               std::vector<KnnCand> cands;
@@ -495,7 +472,11 @@ ExactResult ExactExecutor::execute_indexed(const AnalyticalQuery& q,
           serving, backup_for(n, serving), req_bytes,
           AggregateState::kWireBytes, [&](NodeId executing) {
             std::uint64_t examined = 0;
-            const std::vector<std::uint64_t> rows = node_select(n, examined);
+            const auto rows = on_node(n, examined, [&](const auto& s, auto* c) {
+              return q.selection == SelectionType::kRange
+                         ? s.range_query(q.range, c)
+                         : s.radius_query(q.ball, c);
+            });
             cluster_.account_probe(executing, 1, examined,
                                    examined * part.row_bytes());
             return aggregate_rows(part, rows, q);

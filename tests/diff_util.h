@@ -158,7 +158,7 @@ inline std::vector<Point> adversarial_points(PointDist dist, std::size_t n,
 }
 
 /// Domain of a point set, padded on the upper edge the way
-/// ExactExecutor::grid_build_input pads it (maxima land inside the last
+/// ExactExecutor's build_grid pads it (maxima land inside the last
 /// cell); unit cube when empty.
 inline Rect domain_of(const std::vector<Point>& pts, std::size_t dims) {
   Rect dom;

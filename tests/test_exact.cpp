@@ -198,9 +198,92 @@ TEST(ExactExecutor, InvalidateCachesRebuilds) {
   auto q = testing::range_count_query(0.4, 0.6, 0.4, 0.6);
   exec.execute(q, ExecParadigm::kCoordinatorIndexed);
   const double first = exec.index_build_ms();
+  c.mutable_partition("t", 0);
   exec.invalidate_caches();
   exec.execute(q, ExecParadigm::kCoordinatorIndexed);
   EXPECT_GT(exec.index_build_ms(), first);
+}
+
+constexpr ExecParadigm kIndexedParadigms[] = {
+    ExecParadigm::kCoordinatorIndexed, ExecParadigm::kCoordinatorGrid,
+    ExecParadigm::kCoordinatorLearned};
+
+/// Count query over `cols` selecting [lo, hi] on every axis.
+AnalyticalQuery box_count(const std::vector<std::size_t>& cols, double lo,
+                          double hi) {
+  AnalyticalQuery q;
+  q.selection = SelectionType::kRange;
+  q.analytic = AnalyticType::kCount;
+  q.subspace_cols = cols;
+  q.range.lo.assign(cols.size(), lo);
+  q.range.hi.assign(cols.size(), hi);
+  return q;
+}
+
+TEST(ExactExecutor, AppendRebuildsOnlyTouchedNode) {
+  const Table t = small_dataset(4000, 2, 38);
+  Cluster c = testing::make_cluster(t, "t", 8);
+  ExactExecutor exec(c, "t");
+  // Two cached column sets x three structures, eight nodes each.
+  const AnalyticalQuery queries[] = {box_count({0, 1}, 0.3, 0.7),
+                                     box_count({1}, 0.3, 0.7)};
+  const auto counts = [&] {
+    std::vector<std::uint64_t> out;
+    for (const auto& q : queries)
+      for (const auto p : kIndexedParadigms)
+        out.push_back(exec.execute(q, p).qualifying_tuples);
+    return out;
+  };
+  const auto before = counts();
+  EXPECT_EQ(exec.index_builds(), 2u * 3u * 8u);
+  const std::uint64_t structures = 2 * 3;
+
+  // A row inside both boxes, appended to one node at a time: each cached
+  // (column set, structure) pair is rebuilt exactly once — on that node,
+  // since every count sees the new row.
+  const std::vector<double> row(t.num_columns(), 0.5);
+  for (const NodeId k : {NodeId{3}, NodeId{5}}) {
+    const std::uint64_t builds = exec.index_builds();
+    c.mutable_partition("t", k).append_row(row);
+    const auto after = counts();
+    EXPECT_EQ(exec.index_builds() - builds, structures) << "node " << k;
+    for (std::size_t i = 0; i < after.size(); ++i)
+      EXPECT_EQ(after[i], before[i] + (k == 3 ? 1 : 2)) << i;
+    EXPECT_EQ(counts(), after);  // warm again: no further builds
+    EXPECT_EQ(exec.index_builds() - builds, structures);
+  }
+
+  // invalidate_caches frees the stale node but builds nothing itself.
+  c.mutable_partition("t", 1).append_row(row);
+  const std::uint64_t builds = exec.index_builds();
+  exec.invalidate_caches();
+  EXPECT_EQ(exec.index_builds(), builds);
+  counts();
+  EXPECT_EQ(exec.index_builds() - builds, structures);
+}
+
+TEST(ExactExecutor, ReloadedTableAnswersFromNewData) {
+  const Table old_data = small_dataset(2000, 2, 39);
+  Cluster c = testing::make_cluster(old_data, "t", 4);
+  ExactExecutor exec(c, "t");
+  const AnalyticalQuery q = box_count({0, 1}, 0.2, 0.9);
+  for (const auto p : kIndexedParadigms) exec.execute(q, p);
+  exec.domain({0, 1});
+
+  // Same name, same node count, different rows and bounds.
+  Table new_data = small_dataset(1500, 2, 40);
+  for (auto& v : new_data.mutable_column(0)) v = v * 0.5 + 0.4;
+  c.drop_table("t");
+  c.load_table("t", new_data);
+
+  const double truth = brute_force_answer(new_data, q);
+  ASSERT_NE(truth, brute_force_answer(old_data, q));
+  for (const auto p : kIndexedParadigms)
+    EXPECT_EQ(exec.execute(q, p).answer, truth) << to_string(p);
+  const Rect& dom = exec.domain({0, 1});
+  const Rect want = table_bounds(new_data, std::vector<std::size_t>{0, 1});
+  EXPECT_EQ(dom.lo, want.lo);
+  EXPECT_EQ(dom.hi, want.hi);
 }
 
 TEST(ExactExecutor, StateCarriesMergeableAggregate) {
@@ -214,6 +297,101 @@ TEST(ExactExecutor, StateCarriesMergeableAggregate) {
   EXPECT_EQ(r.state.count, r.qualifying_tuples);
   EXPECT_NEAR(r.state.finalize(AnalyticType::kAvg), r.answer, 1e-12);
 }
+
+// Differential check of the version-stamped caches: seeded appends to
+// random nodes, with and without invalidate_caches(), interleaved with
+// range / radius / kNN queries on every paradigm. After every step the
+// long-lived executor must agree bit for bit with a freshly built one.
+// Registered again as the tier2 `exact_cache_threaded` run (SEA_THREADS=8).
+class ExactCacheDifferential : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ExactCacheDifferential, SeededAppendsMatchFreshExecutor) {
+  const bool all_on_one_node = GetParam();
+  constexpr std::size_t kNodes = 5;
+  const Table base = small_dataset(2500, 2, 41);
+  // Appended rows come from a wider, shifted population so appends move
+  // the partition (and table) bounds as well as the counts.
+  Table pool = small_dataset(1200, 2, 42);
+  for (auto& v : pool.mutable_column(1)) v = v * 1.6 - 0.3;
+  Cluster c(kNodes, Network::single_zone(kNodes));
+  // Round-robin, or everything on node 0 so appends fill empty partitions.
+  if (all_on_one_node)
+    c.load_table_at("t", base, 0);
+  else
+    c.load_table("t", base);
+  ExactExecutor live(c, "t");
+  const std::vector<std::size_t> cols{0, 1};
+  constexpr ExecParadigm kAll[] = {
+      ExecParadigm::kMapReduce, ExecParadigm::kCoordinatorIndexed,
+      ExecParadigm::kCoordinatorGrid, ExecParadigm::kCoordinatorLearned};
+  constexpr AnalyticType kAnalytics[] = {AnalyticType::kCount,
+                                         AnalyticType::kAvg,
+                                         AnalyticType::kVariance};
+  Rng rng(all_on_one_node ? 4301 : 4302);
+  std::size_t next = 0;
+  std::vector<double> row(pool.num_columns());
+  for (int step = 0; step < 30; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    // Append 1..60 rows to one or two random nodes.
+    const int touched = static_cast<int>(rng.uniform_int(1, 2));
+    for (int i = 0; i < touched && next < pool.num_rows(); ++i) {
+      const auto node = static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));
+      Table& part = c.mutable_partition("t", node);
+      const auto rows = static_cast<std::size_t>(rng.uniform_int(1, 60));
+      for (std::size_t r = 0; r < rows && next < pool.num_rows(); ++r, ++next) {
+        for (std::size_t col = 0; col < row.size(); ++col)
+          row[col] = pool.at(next, col);
+        part.append_row(row);
+      }
+    }
+    if (rng.uniform() < 0.5) live.invalidate_caches();
+    if (rng.uniform() < 0.25) continue;  // let some nodes go stale twice
+
+    ExactExecutor fresh(c, "t");
+    const Rect& dom = fresh.domain(cols);
+    for (const auto sel :
+         {SelectionType::kRange, SelectionType::kRadius,
+          SelectionType::kNearestNeighbors}) {
+      AnalyticalQuery q;
+      q.selection = sel;
+      q.analytic = kAnalytics[rng.uniform_int(0, 2)];
+      q.subspace_cols = cols;
+      q.target_col = 2;
+      Point centre(2);
+      for (std::size_t i = 0; i < 2; ++i)
+        centre[i] = rng.uniform(dom.lo[i], dom.hi[i]);
+      if (sel == SelectionType::kRange) {
+        q.range.lo = centre;
+        q.range.hi = centre;
+        for (std::size_t i = 0; i < 2; ++i) {
+          const double w = rng.uniform(0.05, 0.4) * (dom.hi[i] - dom.lo[i]);
+          q.range.lo[i] -= w;
+          q.range.hi[i] += w;
+        }
+      } else if (sel == SelectionType::kRadius) {
+        q.ball.center = centre;
+        q.ball.radius = rng.uniform(0.05, 0.4);
+      } else {
+        q.knn_point = centre;
+        q.knn_k = static_cast<std::size_t>(rng.uniform_int(1, 40));
+      }
+      for (const auto p : kAll) {
+        const auto want = fresh.execute(q, p);
+        const auto got = live.execute(q, p);
+        EXPECT_EQ(got.answer, want.answer) << to_string(p) << q.describe();
+        EXPECT_EQ(got.qualifying_tuples, want.qualifying_tuples)
+            << to_string(p) << q.describe();
+      }
+    }
+    // Checked after the queries: domain() refreshes stale stamps too.
+    const Rect& live_dom = live.domain(cols);
+    EXPECT_EQ(live_dom.lo, dom.lo);
+    EXPECT_EQ(live_dom.hi, dom.hi);
+  }
+  EXPECT_GT(next, 500u);  // the run really appended
+}
+
+INSTANTIATE_TEST_SUITE_P(Loaders, ExactCacheDifferential, ::testing::Bool());
 
 }  // namespace
 }  // namespace sea

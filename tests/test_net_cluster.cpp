@@ -161,6 +161,22 @@ TEST(Cluster, VersionBumpsOnMutableAccess) {
   EXPECT_EQ(c.partition_version("t", 1), v0);
 }
 
+TEST(Cluster, VersionsNeverRepeatAcrossReload) {
+  const Table t = small_dataset(100, 2);
+  Cluster c = testing::make_cluster(t, "t", 3);
+  for (int i = 0; i < 3; ++i) c.mutable_partition("t", 1);
+  std::uint64_t high = 0;
+  for (NodeId n = 0; n < 3; ++n)
+    high = std::max(high, c.partition_version("t", n));
+  c.drop_table("t");
+  c.load_table("t", t);
+  for (NodeId n = 0; n < 3; ++n) EXPECT_GT(c.partition_version("t", n), high);
+  high = c.partition_version("t", 0);
+  c.drop_table("t");
+  c.load_table_at("t", t, 2);
+  for (NodeId n = 0; n < 3; ++n) EXPECT_GT(c.partition_version("t", n), high);
+}
+
 TEST(Cluster, UnknownTableThrows) {
   Cluster c(2, Network::single_zone(2));
   EXPECT_THROW(c.partition("nope", 0), std::out_of_range);
